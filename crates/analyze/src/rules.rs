@@ -253,14 +253,20 @@ mod tests {
     #[test]
     fn engine_modules_are_in_scope() {
         // The event-engine rewrite (calendar queue + digest pinning) must
-        // stay under R2: an unordered map in either module would silently
+        // stay under R2: an unordered map in any of these modules would silently
         // break bit-identical replay. Pin the scope so a future exception
         // list can't quietly carve them out. (The determinism leg of this
         // guarantee moved to R8 and is pinned in tests/fixtures.rs.)
         for path in [
             "crates/sched/src/calendar.rs",
             "crates/sched/src/digest.rs",
-            "crates/sched/src/scheduler.rs",
+            "crates/sched/src/scheduler/mod.rs",
+            "crates/sched/src/scheduler/admission.rs",
+            "crates/sched/src/scheduler/displace.rs",
+            "crates/sched/src/scheduler/faults.rs",
+            "crates/sched/src/scheduler/placement.rs",
+            "crates/sched/src/scheduler/queues.rs",
+            "crates/sched/src/scheduler/report.rs",
         ] {
             let f = run(path, "use std::collections::HashMap;");
             assert_eq!(f.len(), 1, "{path} escaped R2");

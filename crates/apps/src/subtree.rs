@@ -179,7 +179,7 @@ pub fn run_batch(
         let served =
             rt.charge_compute(leaf, branch.proc, dur, &[cur], &[cur], &format!("job {j}"))?;
         if dispatch == Dispatch::ShortestQueue {
-            let id = wq.enqueue(branch.path[0], 0, format!("job {j}"));
+            let id = wq.enqueue(branch.path[0], 0);
             inflight.push((served.end, branch.path[0], id));
         }
         pending.push((j, stages));

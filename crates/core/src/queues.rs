@@ -23,8 +23,6 @@ pub struct TaskId(pub u64);
 pub struct TaskTag {
     /// Id.
     pub id: TaskId,
-    /// Human-readable label ("load chunk (2,3)").
-    pub label: String,
 }
 
 /// Work-queue state for every node of a tree.
@@ -59,17 +57,14 @@ impl WorkQueues {
         self.queues[0].len()
     }
 
-    /// Enqueue a task tag on `(node, queue)`; returns its id.
+    /// Enqueue a task on `(node, queue)`; returns its id.
     ///
     /// # Panics
     /// Panics on an out-of-range queue index.
-    pub fn enqueue(&mut self, node: NodeId, queue: usize, label: impl Into<String>) -> TaskId {
+    pub fn enqueue(&mut self, node: NodeId, queue: usize) -> TaskId {
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        self.queues[node.0][queue].push_back(TaskTag {
-            id,
-            label: label.into(),
-        });
+        self.queues[node.0][queue].push_back(TaskTag { id });
         self.enqueued[node.0] += 1;
         id
     }
@@ -142,7 +137,7 @@ mod tests {
     fn enqueue_complete_roundtrip() {
         let t = tree();
         let mut wq = WorkQueues::new(&t, 2);
-        let id = wq.enqueue(NodeId(1), 0, "chunk 0");
+        let id = wq.enqueue(NodeId(1), 0);
         assert_eq!(wq.depth(NodeId(1), 0), 1);
         assert_eq!(wq.node_depth(NodeId(1)), 1);
         assert!(wq.complete(NodeId(1), id));
@@ -156,10 +151,10 @@ mod tests {
         let t = tree();
         let mut wq = WorkQueues::new(&t, 1);
         // Fig. 2 subtree 2: n2 (nvm) -> n3 (dram) -> n4 (gpu leaf).
-        wq.enqueue(NodeId(2), 0, "a");
-        wq.enqueue(NodeId(3), 0, "b");
-        wq.enqueue(NodeId(4), 0, "c");
-        wq.enqueue(NodeId(1), 0, "elsewhere");
+        wq.enqueue(NodeId(2), 0);
+        wq.enqueue(NodeId(3), 0);
+        wq.enqueue(NodeId(4), 0);
+        wq.enqueue(NodeId(1), 0);
         assert_eq!(wq.subtree_depth(&t, NodeId(2)), 3);
         assert_eq!(wq.subtree_depth(&t, NodeId(1)), 1);
         assert_eq!(wq.subtree_depth(&t, t.root()), 4);
@@ -170,9 +165,9 @@ mod tests {
         let t = tree();
         let mut wq = WorkQueues::new(&t, 3);
         // Deal 7 tasks always to the shortest queue: depths end 3/2/2.
-        for i in 0..7 {
+        for _ in 0..7 {
             let q = wq.shortest_queue(NodeId(1));
-            wq.enqueue(NodeId(1), q, format!("t{i}"));
+            wq.enqueue(NodeId(1), q);
         }
         let depths: Vec<usize> = (0..3).map(|q| wq.depth(NodeId(1), q)).collect();
         assert_eq!(depths.iter().sum::<usize>(), 7);
@@ -183,10 +178,10 @@ mod tests {
     fn front_is_fifo_order() {
         let t = tree();
         let mut wq = WorkQueues::new(&t, 1);
-        let first = wq.enqueue(NodeId(1), 0, "first");
-        wq.enqueue(NodeId(1), 0, "second");
+        let first = wq.enqueue(NodeId(1), 0);
+        let second = wq.enqueue(NodeId(1), 0);
         assert_eq!(wq.front(NodeId(1), 0).unwrap().id, first);
         wq.complete(NodeId(1), first);
-        assert_eq!(wq.front(NodeId(1), 0).unwrap().label, "second");
+        assert_eq!(wq.front(NodeId(1), 0).unwrap().id, second);
     }
 }

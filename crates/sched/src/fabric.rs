@@ -84,18 +84,6 @@ impl SimFabric {
         }
     }
 
-    /// Book a checkpoint-spill writeback of `bytes` on the root store
-    /// starting no earlier than `ready`; returns when the store has
-    /// absorbed it. Used by [`SchedulerConfig::charge_spill`] to make a
-    /// victim's in-flight staging ring cost virtual time at eviction —
-    /// the writeback FIFO-queues on the same resource every Read and
-    /// WriteBack stage contends on, so spills delay later bookings.
-    ///
-    /// [`SchedulerConfig::charge_spill`]: crate::scheduler::SchedulerConfig::charge_spill
-    pub fn spill_writeback(&mut self, ready: SimTime, bytes: u64) -> SimTime {
-        self.node_res[0].serve_bytes(ready, bytes).end
-    }
-
     /// Busy horizon of the root storage resource (diagnostics).
     pub fn root_busy_until(&self) -> SimTime {
         self.node_res[0].busy_until()
