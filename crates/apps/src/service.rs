@@ -564,7 +564,6 @@ pub fn run_service_real(
             ..SchedulerConfig::default()
         },
         threads,
-        None,
     )
 }
 
@@ -590,11 +589,10 @@ pub fn run_service_real_chaos(
         trace,
         SchedulerConfig {
             policy,
-            fault_plan: Some(plan.clone()),
+            fault_plan: Some(plan),
             ..SchedulerConfig::default()
         },
         threads,
-        Some(plan),
     )
 }
 
@@ -607,9 +605,9 @@ fn run_real_inner(
     trace: Vec<JobSpec>,
     cfg: SchedulerConfig,
     threads: usize,
-    plan: Option<FaultPlan>,
 ) -> Result<ServiceRealRun, SchedError> {
     let retry = cfg.retry;
+    let plan = cfg.fault_plan.clone();
     let specs = trace.clone();
     let report = run_service_with(tree, trace, cfg)?;
     let pool = Arc::new(ThreadPool::new(threads));

@@ -107,9 +107,9 @@ pub fn run_batch(
     let output = rt.alloc(bytes * jobs as u64, rt.tree().root())?;
     let mut counts = vec![0usize; branches.len()];
     let mut pending: Vec<(u64, Vec<northup::BufferHandle>)> = Vec::new();
-    let mut wq = northup::WorkQueues::new(rt.tree(), 1);
-    // (completion time, branch head node, task id) for ShortestQueue.
-    let mut inflight: Vec<(SimTime, NodeId, northup::TaskId)> = Vec::new();
+    let mut wq = northup::WorkQueues::new(rt.tree());
+    // (completion time, branch head node) for ShortestQueue.
+    let mut inflight: Vec<(SimTime, NodeId)> = Vec::new();
 
     for j in 0..jobs as u64 {
         let b = match dispatch {
@@ -123,13 +123,12 @@ pub fn run_batch(
                 // than a mere assignment count.
                 let window = 2 * branches.len();
                 while inflight.len() >= window {
-                    let (pos, &(done, head, id)) = inflight
+                    let (pos, &(_, head)) = inflight
                         .iter()
                         .enumerate()
-                        .min_by_key(|(_, &(done, _, _))| done)
+                        .min_by_key(|(_, &(done, _))| done)
                         .expect("non-empty inflight");
-                    let _ = done;
-                    wq.complete(head, id);
+                    wq.complete(head);
                     inflight.remove(pos);
                 }
                 // The SV-E query: shallowest subtree queue wins.
@@ -179,8 +178,8 @@ pub fn run_batch(
         let served =
             rt.charge_compute(leaf, branch.proc, dur, &[cur], &[cur], &format!("job {j}"))?;
         if dispatch == Dispatch::ShortestQueue {
-            let id = wq.enqueue(branch.path[0], 0);
-            inflight.push((served.end, branch.path[0], id));
+            wq.enqueue(branch.path[0]);
+            inflight.push((served.end, branch.path[0]));
         }
         pending.push((j, stages));
     }

@@ -2,10 +2,12 @@
 //!
 //! Every committed throughput artifact (`BENCH_sched.json`,
 //! `BENCH_fleet.json`) shares one envelope: the `northup-bench-v2`
-//! schema with a `suite` discriminator, then suite-specific fields in
-//! insertion order. One builder means one escaping/formatting policy and
-//! one parser — the CI regression gates read committed baselines back
-//! with [`field_f64`] instead of each bin growing its own scanner.
+//! schema with a `suite` discriminator, the [`Host`] it was measured on
+//! (`cores`, `cpu_model`; absent from older artifacts), then
+//! suite-specific fields in insertion order. One builder means one
+//! formatting policy and one parser — the CI regression gates read
+//! committed baselines back with [`field_f64`] and [`field_str`]
+//! instead of each bin growing its own scanner.
 
 use std::fmt::Write as _;
 
@@ -29,6 +31,9 @@ impl Artifact {
         a.body.push_str("{\n");
         a.push_raw("schema", &format!("\"{BENCH_SCHEMA}\""));
         a.push_raw("suite", &format!("\"{suite}\""));
+        let host = Host::current();
+        a.push_raw("cores", &host.cores.to_string());
+        a.push_raw("cpu_model", &format!("\"{}\"", host.cpu_model));
         a
     }
 
@@ -70,6 +75,64 @@ impl Artifact {
     }
 }
 
+/// The machine an artifact was measured on, so a baseline from another
+/// host is never compared blindly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// Logical cores (`std::thread::available_parallelism`, 1 if unknown).
+    pub cores: u64,
+    /// The first `model name` of `/proc/cpuinfo` without quotes,
+    /// backslashes or control characters, or `"unknown"`.
+    pub cpu_model: String,
+}
+
+impl Host {
+    /// The host this process runs on.
+    pub fn current() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| {
+                        model
+                            .trim()
+                            .chars()
+                            .filter(|&c| c != '"' && c != '\\' && !c.is_control())
+                            .collect()
+                    })
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        Host { cores, cpu_model }
+    }
+
+    /// The host recorded in an artifact, when it has both fields.
+    pub fn of_artifact(json: &str) -> Option<Self> {
+        Some(Host {
+            cores: field_f64(json, "cores")? as u64,
+            cpu_model: field_str(json, "cpu_model")?,
+        })
+    }
+}
+
+impl std::fmt::Display for Host {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} cores, {}", self.cores, self.cpu_model)
+    }
+}
+
+/// Extract a string field written by [`Artifact`]: finds `"key":` and
+/// returns the quoted value (artifact strings hold no escapes). Returns
+/// `None` when the key is absent or its value is not a string.
+pub fn field_str(json: &str, key: &str) -> Option<String> {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle)? + needle.len();
+    let rest = json[at..].trim_start().strip_prefix('"')?;
+    rest.split_once('"').map(|(value, _)| value.to_string())
+}
+
 /// Extract a numeric field from a flat artifact produced by
 /// [`Artifact`]: finds `"key":` and parses the following number. Returns
 /// `None` when the key is absent or its value is not numeric (quoted
@@ -105,6 +168,25 @@ mod tests {
         assert_eq!(field_f64(&json, "wall_s"), Some(1.25));
         assert_eq!(field_f64(&json, "digest"), None, "digests are quoted");
         assert_eq!(field_f64(&json, "missing"), None);
+        assert_eq!(Host::of_artifact(&json), Some(Host::current()));
+    }
+
+    #[test]
+    fn host_round_trips_and_is_optional() {
+        let json = "{\n  \"cores\": 2,\n  \"cpu_model\": \"Acme CPU @ 3GHz\"\n}\n";
+        assert_eq!(
+            field_str(json, "cpu_model").as_deref(),
+            Some("Acme CPU @ 3GHz")
+        );
+        assert_eq!(field_str(json, "cores"), None, "numbers are not strings");
+        assert_eq!(
+            Host::of_artifact(json),
+            Some(Host {
+                cores: 2,
+                cpu_model: "Acme CPU @ 3GHz".to_string()
+            })
+        );
+        assert_eq!(Host::of_artifact("{}"), None, "old artifacts have no host");
     }
 
     #[test]

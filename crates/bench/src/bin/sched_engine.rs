@@ -24,7 +24,7 @@
 
 use northup::{FaultPlan, Tree};
 use northup_apps::{synthetic_trace, TraceConfig};
-use northup_bench::artifact::{field_f64, Artifact};
+use northup_bench::artifact::{field_f64, Artifact, Host};
 use northup_sched::{
     report_digest, JobScheduler, JobState, NodeBudgets, Probation, SchedReport, SchedulerConfig,
     TenantQuota,
@@ -34,8 +34,12 @@ use std::time::Instant;
 
 const SEED: u64 = 2026_0807;
 /// Mean inter-arrival gap (µs of virtual time) keeping one fleet-shard
-/// scheduler near saturation: low enough that classes queue and contend,
-/// high enough that the queue drains and ~every job completes.
+/// scheduler near saturation. Reservations mostly do not bind: at 10^6
+/// jobs the admission queue is non-empty in only about 14% of samples
+/// (short bursts up to the `max_queue` cap, every rejection `QueueFull`),
+/// and the rest of the time hundreds of thousands of admitted jobs pile
+/// onto the shared FIFO resources. So the perf run mostly times stage
+/// booking, not the admission pass.
 const MEAN_GAP_US: u64 = 7_000;
 const PERF_JOBS: usize = 1_000_000;
 
@@ -201,16 +205,21 @@ fn main() {
 
     if let Some(path) = &baseline_path {
         match std::fs::read_to_string(path) {
-            Ok(text) => match field_f64(&text, "events_per_sec") {
-                Some(base) if events_per_sec < base * 0.8 => failures.push(format!(
-                    "events/s regression: {events_per_sec:.0} < 80% of baseline {base:.0}"
-                )),
-                Some(base) => println!(
-                    "baseline {base:.0} events/s: {:.1}% of baseline",
-                    100.0 * events_per_sec / base
-                ),
-                None => failures.push(format!("baseline {path} has no events_per_sec")),
-            },
+            Ok(text) => {
+                if let Some(base_host) = Host::of_artifact(&text) {
+                    println!("host {}; baseline host {base_host}", Host::current());
+                }
+                match field_f64(&text, "events_per_sec") {
+                    Some(base) if events_per_sec < base * 0.8 => failures.push(format!(
+                        "events/s regression: {events_per_sec:.0} < 80% of baseline {base:.0}"
+                    )),
+                    Some(base) => println!(
+                        "baseline {base:.0} events/s: {:.1}% of baseline",
+                        100.0 * events_per_sec / base
+                    ),
+                    None => failures.push(format!("baseline {path} has no events_per_sec")),
+                }
+            }
             Err(e) => failures.push(format!("cannot read baseline {path}: {e}")),
         }
     }

@@ -120,13 +120,13 @@ impl<'rt> Ctx<'rt> {
     /// [`children`](Self::children)).
     pub fn spawn<R>(&self, index: usize, f: impl FnOnce(&Ctx<'rt>) -> R) -> R {
         let child = self.children()[index];
-        self.rt.note_spawn(self.node);
+        self.rt.inner.lock().wq.enqueue(self.node);
         let ctx = Ctx {
             rt: self.rt,
             node: child,
         };
         let out = f(&ctx);
-        self.rt.note_retire(self.node);
+        self.rt.inner.lock().wq.complete(self.node);
         out
     }
 

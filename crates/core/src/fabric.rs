@@ -17,12 +17,14 @@
 //! * [`Checkpoint`] — the resume token preemption hands back: every
 //!   completed chunk is a checkpoint, so an evicted job restarts from
 //!   its next unprocessed chunk — no chunk runs twice.
-//! * [`Fabric`] — the backend trait. A *modeled* fabric books stages on
-//!   shared virtual-time resources (`northup-sched::SimFabric`); a *real*
-//!   fabric drives the same chain through a [`Runtime`](crate::Runtime)
-//!   in [`ExecMode::Real`](crate::ExecMode) on the `northup-exec`
-//!   work-stealing pool, with allocations metered by the job's
-//!   [`CapacityLease`](crate::CapacityLease).
+//! * [`Fabric`] — the whole-chunk backend trait. The *real* fabric
+//!   (`northup-sched::RealFabric`) drives a chain through a
+//!   [`Runtime`](crate::Runtime) in [`ExecMode::Real`](crate::ExecMode)
+//!   on the `northup-exec` work-stealing pool, with allocations metered
+//!   by the job's [`CapacityLease`](crate::CapacityLease). The *modeled*
+//!   backend (`northup-sched::SimFabric`) does not implement it: it books
+//!   one stage at a time on shared virtual-time resources, so concurrent
+//!   jobs interleave between stages.
 //!
 //! The invariant that makes preemption and mode-agreement testable: a
 //! chain is a pure function of (tree, leaf, work), so every backend sees
@@ -342,10 +344,9 @@ pub fn build_chain(tree: &Tree, leaf: NodeId, work: ChunkWork, chunks: u32) -> C
 /// An execution backend for stage chains.
 ///
 /// Implementations agree on *what* a chunk is (the compiled
-/// [`ChunkChain`]) and differ in *how* it is served: a modeled fabric
-/// books the stages on shared virtual-time resources and returns the
-/// booked completion; a real fabric moves actual bytes and runs actual
-/// kernels, returning the virtual completion its runtime charged.
+/// [`ChunkChain`]) and serve a whole chunk at a time: the real fabric
+/// moves actual bytes and runs actual kernels, returning the virtual
+/// completion its runtime charged.
 pub trait Fabric {
     /// Serve one whole chunk of `chain` (chunk index `idx`), starting no
     /// earlier than `ready`, and return its completion in virtual time.

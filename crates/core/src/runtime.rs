@@ -10,6 +10,7 @@
 use crate::dag::{DagRecorder, TaskDag};
 use crate::data::BufInfo;
 use crate::error::{NorthupError, Result};
+use crate::queues::WorkQueues;
 use crate::topology::{NodeId, ProcKind, Tree};
 use northup_hw::{
     FileBackend, HeapBackend, IoTracker, PhantomBackend, StorageBackend, StorageClass,
@@ -97,11 +98,9 @@ pub(crate) struct RtInner {
     pub next_handle: u64,
     pub timeline: Timeline,
     pub io: IoTracker,
-    /// Per-node count of recursive tasks spawned through it (the work-queue
-    /// bookkeeping of Listing 1).
-    pub spawned: Vec<u64>,
-    /// Per-node current recursion depth occupancy.
-    pub active: Vec<u64>,
+    /// Recursive tasks spawned through each node and still in flight
+    /// (the work-queue bookkeeping of Listing 1).
+    pub wq: WorkQueues,
     /// Optional §III-C dependency-graph recorder.
     pub dag: Option<DagRecorder>,
     /// Optional capacity lease: the admitted reservation `alloc` draws from
@@ -195,7 +194,7 @@ impl Runtime {
                     .collect(),
             );
         }
-        let n = tree.len();
+        let wq = WorkQueues::new(&tree);
         Ok(Runtime {
             tree,
             mode,
@@ -209,8 +208,7 @@ impl Runtime {
                 next_handle: 0,
                 timeline: Timeline::with_spans(),
                 io: IoTracker::new(),
-                spawned: vec![0; n],
-                active: vec![0; n],
+                wq,
                 dag: None,
                 lease: None,
                 charged: BTreeMap::new(),
@@ -248,29 +246,16 @@ impl Runtime {
             .ok_or(NorthupError::NoProcessor(node))
     }
 
-    /// Record a recursive spawn through `node` (work-queue bookkeeping).
-    pub(crate) fn note_spawn(&self, node: NodeId) {
-        let mut g = self.inner.lock();
-        g.spawned[node.0] += 1;
-        g.active[node.0] += 1;
-    }
-
-    /// Record a recursive task retiring at `node`.
-    pub(crate) fn note_retire(&self, node: NodeId) {
-        let mut g = self.inner.lock();
-        g.active[node.0] = g.active[node.0].saturating_sub(1);
-    }
-
     /// Total recursive tasks ever spawned through `node` (queue statistics,
     /// §V-E: "examining the status of a subsystem can be easily accomplished
     /// by checking the queue associated with the root of a subtree").
     pub fn tasks_spawned(&self, node: NodeId) -> u64 {
-        self.inner.lock().spawned[node.0]
+        self.inner.lock().wq.spawned(node)
     }
 
     /// Recursive tasks currently in flight at `node`.
     pub fn tasks_active(&self, node: NodeId) -> u64 {
-        self.inner.lock().active[node.0]
+        self.inner.lock().wq.depth(node) as u64
     }
 
     /// Snapshot the execution report so far.

@@ -10,16 +10,16 @@
 //! many.
 //!
 //! The *what* of a chunk — its ordered, costed stages — is the
-//! [`ChunkChain`] IR compiled by [`northup::fabric::build_chain`]; this
-//! module only decides *when* each stage is served. A chunk is served
-//! **stage by stage**: the scheduler books one [`ChainStage`] at its
-//! actual virtual ready time and only then learns when the next stage
-//! may start. Booking the whole chain at issue time would let an early
-//! chunk reserve the root storage far into the future (the [`Resource`]
-//! list scheduler never backfills idle gaps), which silently serializes
-//! concurrent jobs.
+//! [`ChunkChain`](northup::fabric::ChunkChain) IR compiled by
+//! [`northup::fabric::build_chain`]; this module only decides *when*
+//! each stage is served. A chunk is served **stage by stage**: the
+//! scheduler books one [`ChainStage`] at its actual virtual ready time
+//! and only then learns when the next stage may start. Booking the
+//! whole chain at issue time would let an early chunk reserve the root
+//! storage far into the future (the [`Resource`] list scheduler never
+//! backfills idle gaps), which silently serializes concurrent jobs.
 
-use northup::fabric::{ChainStage, ChunkChain, Fabric, FabricError, Stage};
+use northup::fabric::{ChainStage, Stage};
 use northup::Tree;
 use northup_sim::{Resource, SimTime};
 
@@ -83,43 +83,6 @@ impl SimFabric {
             Stage::WriteBack => self.node_res[0].serve_bytes(ready, stage.cost.bytes).end,
         }
     }
-
-    /// Busy horizon of the root storage resource (diagnostics).
-    pub fn root_busy_until(&self) -> SimTime {
-        self.node_res[0].busy_until()
-    }
-}
-
-impl Fabric for SimFabric {
-    /// Serve a whole chunk for a single tenant, stage after stage. Only
-    /// meaningful when no other job interleaves (tests, FIFO baselines);
-    /// the scheduler proper books stage by stage through
-    /// [`serve`](SimFabric::serve).
-    fn run_chunk(
-        &mut self,
-        chain: &ChunkChain,
-        _idx: u32,
-        ready: SimTime,
-    ) -> std::result::Result<SimTime, FabricError> {
-        let mut t = ready;
-        for stage in &chain.stages {
-            t = self.serve(stage, t);
-        }
-        Ok(t)
-    }
-
-    fn reset(&mut self) -> std::result::Result<(), FabricError> {
-        for r in &mut self.node_res {
-            r.reset();
-        }
-        for r in self.link_res.iter_mut().flatten() {
-            r.reset();
-        }
-        for r in self.comp_res.iter_mut().flatten() {
-            r.reset();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -145,8 +108,14 @@ mod tests {
             .xfer(64 << 20)
             .compute(SimDur::from_millis(3));
         let chain = build_chain(&tree, leaf, work.chunk_work(), 1);
-        let t1 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        let t2 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
+        let mut serve_chunk = || {
+            chain
+                .stages
+                .iter()
+                .fold(SimTime::ZERO, |t, stage| fab.serve(stage, t))
+        };
+        let t1 = serve_chunk();
+        let t2 = serve_chunk();
         assert!(t1 > SimTime::ZERO);
         assert!(
             t2 > t1,
@@ -175,22 +144,5 @@ mod tests {
         let read_only = build_chain(&tree, leaf, JobWork::new(1).read(1).chunk_work(), 1);
         assert_eq!(read_only.stages.len(), 1);
         assert!(build_chain(&tree, leaf, JobWork::new(1).chunk_work(), 1).is_empty());
-    }
-
-    #[test]
-    fn reset_restores_idle_fabric() {
-        let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let mut fab = SimFabric::new(&tree);
-        let leaf = leaf_of(&tree);
-        let chain = build_chain(
-            &tree,
-            leaf,
-            JobWork::new(1).read(1 << 20).xfer(1 << 20).chunk_work(),
-            1,
-        );
-        let t1 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        fab.reset().unwrap();
-        let t2 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        assert_eq!(t1, t2, "deterministic replay after reset");
     }
 }

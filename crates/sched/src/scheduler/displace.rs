@@ -64,8 +64,9 @@ impl JobScheduler {
             }
             Displacement::Fault => AdmissionEventKind::FaultEvicted,
         };
-        if let (Some(leaf), Some(task)) = (rec.leaf.take(), rec.task.take()) {
-            st.wq.complete(leaf, task);
+        if let Some(leaf) = rec.leaf.take() {
+            let released = st.wq.complete(leaf);
+            debug_assert!(released, "job {id:?} released an empty slot");
         }
         let h = &mut st.hot[id.0 as usize];
         h.state = JobState::Preempted;

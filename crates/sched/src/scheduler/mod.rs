@@ -312,7 +312,6 @@ struct JobRec {
     admitted_at: Option<SimTime>,
     finished_at: Option<SimTime>,
     leaf: Option<NodeId>,
-    task: Option<northup::TaskId>,
     /// When an eviction was requested (for the latency report).
     preempt_requested_at: Option<SimTime>,
     preemptions: u32,
@@ -371,7 +370,6 @@ impl JobScheduler {
             admitted_at: None,
             finished_at: None,
             leaf: None,
-            task: None,
             preempt_requested_at: None,
             preemptions: 0,
             stage_attempts: 0,
@@ -471,6 +469,9 @@ impl JobScheduler {
             }
         }
 
+        // Every work-queue slot taken at placement was released by
+        // `finish` or `displace`.
+        debug_assert_eq!(st.wq.subtree_depth(&self.tree, self.tree.root()), 0);
         Ok(self.into_report(st))
     }
 
@@ -593,9 +594,7 @@ impl RunState {
             quota_wake: BTreeMap::new(),
             active: 0,
             fabric: SimFabric::new(tree),
-            // One queue per node: placement reads only subtree depths,
-            // which sum every queue of a node.
-            wq: WorkQueues::new(tree, 1),
+            wq: WorkQueues::new(tree),
             fault_ordinals: vec![0; tree.len()],
             node_persistent: vec![0; tree.len()],
             quarantined: BTreeSet::new(),

@@ -110,7 +110,7 @@ impl JobScheduler {
             }
             Err(e) => return Err(e),
         };
-        let task = st.wq.enqueue(leaf, 0);
+        st.wq.enqueue(leaf);
         // Brownout: while the degradation tier is engaged, non-guaranteed
         // admissions compile a shrunken chain. Distinct degrade levels
         // produce distinct work shapes, so the arena interns them as
@@ -126,7 +126,6 @@ impl JobScheduler {
         let chain_len = st.chains.get(chain).stages.len() as u16;
         let rec = &mut self.jobs[id.0 as usize];
         rec.leaf = Some(leaf);
-        rec.task = Some(task);
         rec.degrade = rec.degrade.max(degrade.rank());
         let h = &mut st.hot[id.0 as usize];
         h.chain = chain;
@@ -369,8 +368,11 @@ impl JobScheduler {
         st.hot[id.0 as usize].state = state;
         let rec = &mut self.jobs[id.0 as usize];
         rec.finished_at = Some(t);
-        if let (Some(leaf), Some(task)) = (rec.leaf, rec.task.take()) {
-            st.wq.complete(leaf, task);
+        // A job holds a slot exactly while it has a leaf, and it is
+        // settled once: its leaf stays recorded for the report.
+        if let Some(leaf) = rec.leaf {
+            let released = st.wq.complete(leaf);
+            debug_assert!(released, "job {id:?} released an empty slot");
         }
         // Feed the SLO sampler: completion latency in virtual time,
         // arrival-to-done (what the submitter experiences).
