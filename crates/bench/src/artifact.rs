@@ -3,7 +3,8 @@
 //! Every committed throughput artifact (`BENCH_sched.json`,
 //! `BENCH_fleet.json`) shares one envelope: the `northup-bench-v2`
 //! schema with a `suite` discriminator, the [`Host`] it was measured on
-//! (`cores`, `cpu_model`; absent from older artifacts), then
+//! (`cores`, `cpu_model`) and the [`build_profile`] that measured it
+//! (`profile`) — all three absent from older artifacts — then
 //! suite-specific fields in insertion order. One builder means one
 //! formatting policy and one parser — the CI regression gates read
 //! committed baselines back with [`field_f64`] and [`field_str`]
@@ -34,6 +35,7 @@ impl Artifact {
         let host = Host::current();
         a.push_raw("cores", &host.cores.to_string());
         a.push_raw("cpu_model", &format!("\"{}\"", host.cpu_model));
+        a.push_raw("profile", &format!("\"{}\"", build_profile()));
         a
     }
 
@@ -72,6 +74,18 @@ impl Artifact {
     pub fn finish(mut self) -> String {
         self.body.push_str("\n}\n");
         self.body
+    }
+}
+
+/// The build profile of the running binary: `"debug"` when debug
+/// assertions are compiled in, `"release"` otherwise. A debug-build
+/// measurement is many times slower and never comparable to a release
+/// baseline.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
     }
 }
 
@@ -169,6 +183,12 @@ mod tests {
         assert_eq!(field_f64(&json, "digest"), None, "digests are quoted");
         assert_eq!(field_f64(&json, "missing"), None);
         assert_eq!(Host::of_artifact(&json), Some(Host::current()));
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        assert_eq!(field_str(&json, "profile").as_deref(), Some(profile));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! CI event-engine gate: replay seeded single-scheduler traces through
 //! the calendar-queue engine, pin the schedules against the digests the
 //! pre-rewrite `BinaryHeap` engine produced, and measure sustained
-//! events/s on a 10^6-job trace.
+//! events/s on a 10^6-job trace and how the engine scales to it.
 //!
 //! ```text
 //! cargo run --release -p northup-bench --bin sched_engine
@@ -16,6 +16,10 @@
 //!   must equal the **pre-rewrite** engine's digests, pinned below —
 //!   the engine rewrite must not move a single event;
 //! * two same-seed 10^6-job runs must produce identical digests;
+//! * the run loop's ns/event at 10^6 jobs must stay within
+//!   [`MAX_SUPERLINEARITY`] times its ns/event at 10^5 jobs: an engine
+//!   that is O(1) amortized per event keeps the ratio near 1 on any
+//!   host, whatever its absolute speed;
 //! * with a committed baseline (second argument), events/s must not drop
 //!   more than 20% below the baseline's `events_per_sec`.
 //!
@@ -42,6 +46,11 @@ const SEED: u64 = 2026_0807;
 /// booking, not the admission pass.
 const MEAN_GAP_US: u64 = 7_000;
 const PERF_JOBS: usize = 1_000_000;
+/// The scaling curve: the clean profile at these sizes and then at
+/// `PERF_JOBS` (the perf run), each timed phase by phase.
+const CURVE_JOBS: [usize; 3] = [100_000, 200_000, 400_000];
+/// Bound on run-loop ns/event at 10^6 jobs over ns/event at 10^5.
+const MAX_SUPERLINEARITY: f64 = 2.0;
 
 /// Schedule digests of the pre-rewrite `BinaryHeap` engine (captured
 /// with `--capture` at the commit introducing this gate, before the
@@ -90,9 +99,22 @@ fn chaos_cfg() -> SchedulerConfig {
     }
 }
 
-fn run(jobs: usize, cfg: SchedulerConfig, resize: bool) -> SchedReport {
+/// Wall seconds of each phase of one replay.
+struct Phases {
+    trace: f64,
+    submit: f64,
+    run: f64,
+    digest: f64,
+}
+
+/// Replay `jobs` jobs of the seeded trace and digest the schedule,
+/// timing each phase.
+fn timed_replay(jobs: usize, cfg: SchedulerConfig, resize: bool) -> (SchedReport, u64, Phases) {
     let tree = tree();
+    let clock = Instant::now();
     let trace = synthetic_trace(&tree, &trace_cfg(jobs));
+    let trace_s = clock.elapsed().as_secs_f64();
+    let clock = Instant::now();
     let mut sched = JobScheduler::new(tree.clone(), cfg);
     for spec in trace {
         sched.submit(spec);
@@ -103,10 +125,22 @@ fn run(jobs: usize, cfg: SchedulerConfig, resize: bool) -> SchedReport {
         sched.resize_budgets(SimTime::from_secs_f64(0.5), full.scaled(0.6));
         sched.resize_budgets(SimTime::from_secs_f64(1.5), full);
     }
-    sched.run().unwrap_or_else(|e| {
+    let submit_s = clock.elapsed().as_secs_f64();
+    let clock = Instant::now();
+    let report = sched.run().unwrap_or_else(|e| {
         eprintln!("sched_engine: run failed: {e}");
         std::process::exit(2);
-    })
+    });
+    let run_s = clock.elapsed().as_secs_f64();
+    let clock = Instant::now();
+    let digest = report_digest(&report);
+    let phases = Phases {
+        trace: trace_s,
+        submit: submit_s,
+        run: run_s,
+        digest: clock.elapsed().as_secs_f64(),
+    };
+    (report, digest, phases)
 }
 
 fn main() {
@@ -121,8 +155,7 @@ fn main() {
     println!("== sched engine gate: seed {SEED}, gap {MEAN_GAP_US} µs ==");
     let mut digests = Vec::new();
     for (jobs, expect) in EXPECT_CLEAN {
-        let r = run(jobs, clean_cfg(), false);
-        let d = report_digest(&r);
+        let (r, d, _) = timed_replay(jobs, clean_cfg(), false);
         digests.push((format!("clean_{jobs}"), d));
         println!(
             "  clean {jobs:>7} jobs: digest {d:016x}  events {:>9}  done {:>7}  {}",
@@ -144,8 +177,7 @@ fn main() {
     }
     {
         let (jobs, expect) = EXPECT_CHAOS;
-        let r = run(jobs, chaos_cfg(), true);
-        let d = report_digest(&r);
+        let (r, d, _) = timed_replay(jobs, chaos_cfg(), true);
         digests.push((format!("chaos_{jobs}"), d));
         println!(
             "  chaos {jobs:>7} jobs: digest {d:016x}  events {:>9}  faults {:>5}  {}",
@@ -176,12 +208,46 @@ fn main() {
         return;
     }
 
-    // The 10^6-job perf run: wall-clock the engine, then replay for
-    // determinism at scale.
-    let wall = Instant::now();
-    let report = run(PERF_JOBS, clean_cfg(), false);
-    let wall_s = wall.elapsed().as_secs_f64();
-    let digest = report_digest(&report);
+    // The scaling curve, ending in the 10^6-job perf run, which is then
+    // replayed for determinism at scale.
+    println!("== scaling curve (seconds per phase; run-loop ns/event) ==");
+    println!(
+        "  {:>9} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9} {:>12}",
+        "jobs", "trace", "submit", "run", "digest", "events", "ns/event", "events/s"
+    );
+    let mut curve = Vec::new();
+    let mut point = |jobs: usize| {
+        let (r, d, t) = timed_replay(jobs, clean_cfg(), false);
+        let ns_per_event = t.run * 1e9 / r.events as f64;
+        println!(
+            "  {jobs:>9} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>10} {ns_per_event:>9.1} {:>12.0}",
+            t.trace,
+            t.submit,
+            t.run,
+            t.digest,
+            r.events,
+            1e9 / ns_per_event,
+        );
+        curve.push((jobs, ns_per_event));
+        (r, d, t)
+    };
+    for jobs in CURVE_JOBS {
+        point(jobs);
+    }
+    let (report, digest, t) = point(PERF_JOBS);
+    let superlinearity = curve[curve.len() - 1].1 / curve[0].1;
+    println!(
+        "superlinearity: {superlinearity:.2} (run-loop ns/event at {PERF_JOBS} jobs over {} jobs; bound {MAX_SUPERLINEARITY})",
+        CURVE_JOBS[0],
+    );
+    if superlinearity > MAX_SUPERLINEARITY {
+        failures.push(format!(
+            "engine cost per event grows with the trace: ns/event ratio {superlinearity:.2} > {MAX_SUPERLINEARITY}"
+        ));
+    }
+    // The absolute gate's wall clock: trace generation through the run
+    // loop, as the committed baseline measured it.
+    let wall_s = t.trace + t.submit + t.run;
     let events_per_sec = report.events as f64 / wall_s;
     println!("{}", report.summary());
     println!(
@@ -198,8 +264,8 @@ fn main() {
         ));
     }
 
-    let replay = run(PERF_JOBS, clean_cfg(), false);
-    if report_digest(&replay) != digest {
+    let (_, replay_digest, _) = timed_replay(PERF_JOBS, clean_cfg(), false);
+    if replay_digest != digest {
         failures.push("10^6-job replay diverged between same-seed runs".to_string());
     }
 
@@ -236,6 +302,14 @@ fn main() {
             .float("jobs_per_sec", PERF_JOBS as f64 / wall_s, 0)
             .float("events_per_sec", events_per_sec, 0)
             .digest("digest_perf", digest);
+        for (jobs, ns_per_event) in &curve {
+            a = a.float(
+                &format!("curve_{jobs}_events_per_sec"),
+                1e9 / ns_per_event,
+                0,
+            );
+        }
+        a = a.float("superlinearity", superlinearity, 3);
         for (name, d) in &digests {
             a = a.digest(&format!("digest_{name}"), *d);
         }

@@ -4,11 +4,26 @@
 //! A Brown-style calendar queue replaces the former
 //! `BinaryHeap<Reverse<(SimTime, u8, u64, u64)>>`: a ring of
 //! power-of-two-width *buckets* covers the near future, and everything
-//! beyond the ring's horizon waits in a lazily-sorted *overflow* pile.
-//! Pushes into the horizon are O(1) bucket appends; pops sort one small
-//! bucket at a time instead of sifting a million-entry heap, so the hot
-//! path touches a few contiguous cache lines rather than log₂(n)
-//! scattered ones.
+//! beyond the ring's horizon waits in an unsorted *overflow* pile.
+//! Pushes into the horizon are O(1) bucket appends and pushes past it
+//! O(1) pile appends; pops sort one small bucket at a time instead of
+//! sifting a million-entry heap, so the hot path touches a few
+//! contiguous cache lines rather than log₂(n) scattered ones.
+//!
+//! **The pile is never sorted.** When the ring runs dry, a refill
+//! re-anchors it at the pile's earliest event in two linear passes. The
+//! first fills a histogram of each event's distance from that minimum,
+//! binned by bit length, and takes as the horizon the smallest
+//! power-of-two span that holds a quarter of the pile (and at least
+//! `RING_BUCKETS · TARGET_PER_BUCKET` events; a smaller pile moves
+//! whole). The second moves every event under the new horizon into its
+//! bucket and compacts the rest in place. Every refill thus moves at
+//! least a quarter of the pile, and the moved events pay for both scans.
+//! When the sliding window overtakes the pile's minimum, the same
+//! in-place partition merges the overtaken events back; afterwards the
+//! pile lies a whole horizon ahead, so that happens at most once per
+//! ring revolution. Both keep the queue O(1) amortized per event,
+//! however many events wait in the pile.
 //!
 //! **Ordering contract.** [`CalendarQueue::pop`] yields events in
 //! ascending `(SimTime, kind, id, seq)` order — the exact tuple order the
@@ -23,7 +38,7 @@
 //! **Packed storage.** Internally every event lives as a 16-byte
 //! `(time_ns, kind·2⁵⁶ | id·2¹⁶ | seq)` pair rather than the 32-byte
 //! public tuple, halving the bytes every bucket sort and overflow
-//! memmove has to move. Packing is order-preserving — lexicographic
+//! pass has to move. Packing is order-preserving — lexicographic
 //! order on the pair equals tuple order on `(SimTime, kind, id, seq)` —
 //! provided `id < 2⁴⁰` and `seq < 2¹⁶`, which the engine guarantees
 //! (ids are dense job/node/tenant indices and `seq` is always 0 there)
@@ -37,8 +52,9 @@
 //! the minimum of whatever remains.
 //!
 //! Determinism: bucket geometry adapts only to event *times* already in
-//! the queue (integer arithmetic, no clocks, no randomness), so one
-//! event stream ⇒ one pop order, bit for bit.
+//! the queue (integer arithmetic, no clocks, no randomness), and it
+//! never changes which event pops next, so one event stream ⇒ one pop
+//! order, bit for bit.
 
 use northup_sim::SimTime;
 
@@ -71,15 +87,19 @@ fn unpack(p: Packed) -> Event {
     )
 }
 
+/// log₂ of the number of ring buckets.
+const RING_LOG2: u32 = 12;
+
 /// Number of ring buckets. Power of two so the slot math stays shifts;
 /// 4096 buckets × a few events each keeps per-pop sorts tiny while the
 /// horizon stays wide enough that steady-state traffic rarely lands in
 /// overflow.
-const RING_BUCKETS: usize = 4096;
+const RING_BUCKETS: usize = 1 << RING_LOG2;
 
-/// Target mean events per bucket when the width is re-derived at an
-/// overflow refill.
-const TARGET_PER_BUCKET: u64 = 4;
+/// A refill moves at least `RING_BUCKETS · TARGET_PER_BUCKET` events
+/// (or the whole pile, when smaller), so even a small pile fills the
+/// ring a few events per bucket.
+const TARGET_PER_BUCKET: usize = 4;
 
 /// A bucketed calendar queue over [`Event`]s, drop-in for a min-heap.
 #[derive(Debug)]
@@ -91,24 +111,20 @@ pub struct CalendarQueue {
     head: usize,
     /// Start of the active bucket's window, in virtual nanoseconds.
     floor: u64,
-    /// Bucket width in nanoseconds (always ≥ 1, always a power of two).
-    width: u64,
+    /// log₂ of the bucket width in nanoseconds (`width = 1 << shift`).
+    shift: u32,
     /// Whether the active bucket is currently sorted (descending, so
     /// pops take the minimum from the back in O(1)).
     active_sorted: bool,
-    /// Events at or beyond the ring's horizon, sorted descending when
-    /// `overflow_sorted` (the earliest events sit at the back).
+    /// Events at or beyond the ring's horizon, in no particular order.
     overflow: Vec<Packed>,
-    overflow_sorted: bool,
     /// Earliest time waiting in `overflow` (`u64::MAX` when empty). The
     /// pop path compares it against the active window: as the ring
     /// slides forward its horizon can overtake overflow events, and
     /// those must be merged back in *before* the active bucket is
     /// trusted — otherwise a later ring event would pop first.
     overflow_min: u64,
-    /// Events currently stored in ring buckets (not overflow).
-    in_ring: usize,
-    /// Total events stored.
+    /// Total events stored, in the ring and in `overflow`.
     len: usize,
 }
 
@@ -125,12 +141,10 @@ impl CalendarQueue {
             ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
             head: 0,
             floor: 0,
-            width: 1 << 12, // 4.096 µs: re-derived at the first refill
+            shift: 12, // 4.096 µs buckets: re-derived at the first refill
             active_sorted: true,
             overflow: Vec::new(),
-            overflow_sorted: true,
             overflow_min: u64::MAX,
-            in_ring: 0,
             len: 0,
         }
     }
@@ -145,56 +159,39 @@ impl CalendarQueue {
         self.len == 0
     }
 
-    /// End of the ring's coverage: events at or past this go to overflow.
-    fn horizon(&self) -> u64 {
-        self.floor
-            .saturating_add(self.width.saturating_mul(RING_BUCKETS as u64))
+    /// Buckets between the active one and the bucket holding time `t`
+    /// (0 for times behind the head, which clamp into the active
+    /// bucket). `RING_BUCKETS` or more means past the horizon.
+    #[inline]
+    fn offset(&self, t: u64) -> u64 {
+        t.saturating_sub(self.floor) >> self.shift
     }
 
-    /// Insert an event. O(1) for future events within the horizon (the
-    /// overwhelming case); a same-instant push behind the head clamps
-    /// into the active bucket in sorted position.
+    /// Insert an event. O(1) for future events (the overwhelming case); a
+    /// same-instant push behind the head clamps into the active bucket in
+    /// sorted position.
     pub fn push(&mut self, ev: Event) {
         let p = pack(ev);
         self.len += 1;
-        if p.0 < self.horizon() {
-            self.place_in_ring(p);
-        } else {
-            // Past the horizon: pile it up, sort lazily at the refill.
-            if self.overflow_sorted {
-                self.overflow_sorted = match self.overflow.last() {
-                    Some(last) => *last >= p,
-                    None => true,
-                };
-            }
+        let k = self.offset(p.0);
+        if k >= RING_BUCKETS as u64 {
+            // Past the horizon: pile it up for a later refill or merge.
             self.overflow_min = self.overflow_min.min(p.0);
             self.overflow.push(p);
-        }
-    }
-
-    /// Store an event that lies inside the current horizon in its ring
-    /// bucket. Past-the-head times clamp into the active bucket, kept
-    /// pop-ready when it is already sorted.
-    fn place_in_ring(&mut self, p: Packed) {
-        let t = p.0;
-        if t < self.floor.saturating_add(self.width) {
-            // Active bucket (including clamped past-time pushes): keep
-            // it pop-ready if it is already sorted.
-            if self.active_sorted && !self.ring[self.head].is_empty() {
-                let bucket = &mut self.ring[self.head];
-                // Descending order: find where `p` belongs so the back
-                // stays the minimum.
-                let pos = bucket.partition_point(|e| *e > p);
-                bucket.insert(pos, p);
-            } else {
-                self.ring[self.head].push(p);
-                self.active_sorted = self.ring[self.head].len() == 1;
-            }
+        } else if k == 0 && self.active_sorted && !self.ring[self.head].is_empty() {
+            // Active bucket (including clamped past-time pushes): keep it
+            // pop-ready. Descending order: find where `p` belongs so the
+            // back stays the minimum.
+            let bucket = &mut self.ring[self.head];
+            let pos = bucket.partition_point(|e| *e > p);
+            bucket.insert(pos, p);
         } else {
-            let slot = (self.head + ((t - self.floor) / self.width) as usize) % RING_BUCKETS;
+            let slot = (self.head + k as usize) % RING_BUCKETS;
             self.ring[slot].push(p);
+            if k == 0 {
+                self.active_sorted = self.ring[slot].len() == 1;
+            }
         }
-        self.in_ring += 1;
     }
 
     /// Remove and return the minimum event, or `None` when empty.
@@ -202,16 +199,9 @@ impl CalendarQueue {
         if self.len == 0 {
             return None;
         }
-        self.advance_to_nonempty();
-        let bucket = &mut self.ring[self.head];
-        if !self.active_sorted {
-            bucket.sort_unstable_by(|a, b| b.cmp(a));
-            self.active_sorted = true;
-        }
-        let ev = bucket.pop();
+        let ev = self.active_bucket().pop();
         debug_assert!(ev.is_some(), "len accounting out of sync");
         self.len -= 1;
-        self.in_ring -= 1;
         ev.map(unpack)
     }
 
@@ -221,13 +211,19 @@ impl CalendarQueue {
         if self.len == 0 {
             return None;
         }
+        self.active_bucket().last().copied().map(unpack)
+    }
+
+    /// The first non-empty bucket, sorted descending so its back is the
+    /// queue's minimum. Callers guarantee `self.len > 0`.
+    fn active_bucket(&mut self) -> &mut Vec<Packed> {
         self.advance_to_nonempty();
         let bucket = &mut self.ring[self.head];
         if !self.active_sorted {
             bucket.sort_unstable_by(|a, b| b.cmp(a));
             self.active_sorted = true;
         }
-        bucket.last().copied().map(unpack)
+        bucket
     }
 
     /// Advance `head` to the first non-empty bucket, refilling the ring
@@ -235,15 +231,15 @@ impl CalendarQueue {
     /// `self.len > 0`.
     fn advance_to_nonempty(&mut self) {
         loop {
-            if self.in_ring == 0 {
+            if self.overflow.len() == self.len {
                 self.refill_from_overflow();
             }
             // The window slides forward as `head` walks, so its horizon
             // can overtake events parked in overflow. Merge them back
             // before trusting the active bucket: without this, a ring
             // event later than the overflow minimum would pop first.
-            if self.overflow_min < self.floor.saturating_add(self.width) {
-                self.merge_overdue_overflow();
+            if self.offset(self.overflow_min) == 0 {
+                self.partition_overflow();
             }
             if !self.ring[self.head].is_empty() {
                 return;
@@ -251,86 +247,63 @@ impl CalendarQueue {
             // The ring holds *something*, so this walk terminates within
             // one revolution; each step is a pointer compare.
             self.head = (self.head + 1) % RING_BUCKETS;
-            self.floor = self.floor.saturating_add(self.width);
+            self.floor = self.floor.saturating_add(1 << self.shift);
             self.active_sorted = false;
         }
     }
 
-    /// Move every overflow event the horizon has overtaken into the
-    /// ring. Called only when `overflow_min` has fallen inside the
-    /// active bucket's window, which is rare (the window must slide a
-    /// full horizon past a push), so the sort amortizes away.
-    fn merge_overdue_overflow(&mut self) {
-        if !self.overflow_sorted {
-            self.overflow.sort_unstable_by(|a, b| b.cmp(a));
-            self.overflow_sorted = true;
-        }
-        let horizon = self.horizon();
-        while let Some(p) = self.overflow.last() {
-            if p.0 >= horizon {
-                break;
-            }
-            let p = match self.overflow.pop() {
-                Some(p) => p,
-                None => break,
-            };
-            self.place_in_ring(p);
-        }
-        self.overflow_min = match self.overflow.last() {
-            Some(p) => p.0,
-            None => u64::MAX,
-        };
-    }
-
-    /// The ring ran dry: jump the window to the earliest overflow event,
-    /// re-derive the bucket width from the observed event density, and
-    /// move every overflow event inside the new horizon into the ring.
+    /// The ring ran dry: re-anchor it at the earliest overflow event,
+    /// size the buckets so the horizon holds at least a quarter of the
+    /// pile, and move those events into the ring. Two linear passes,
+    /// no sort.
     fn refill_from_overflow(&mut self) {
         debug_assert!(!self.overflow.is_empty(), "refill with nothing queued");
-        if !self.overflow_sorted {
-            // Descending: earliest events at the back, popped first.
-            self.overflow.sort_unstable_by(|a, b| b.cmp(a));
-            self.overflow_sorted = true;
+        let floor = self.overflow_min;
+        // Bin `b` counts events whose distance from `floor` has bit
+        // length `b`, i.e. lies in `[2^(b-1), 2^b)` (bin 0: distance 0).
+        let mut bins = [0usize; 65];
+        for p in &self.overflow {
+            bins[(64 - (p.0 - floor).leading_zeros()) as usize] += 1;
         }
-        let earliest = match self.overflow.last() {
-            Some(p) => p.0,
-            None => return,
-        };
-        // Width from density: span of the next ~TARGET_PER_BUCKET-per-
-        // bucket chunk of overflow, rounded up to a power of two. Pure
-        // integer arithmetic over queued times — deterministic.
-        let probe = (RING_BUCKETS as u64 * TARGET_PER_BUCKET) as usize;
-        let latest_probe = if self.overflow.len() > probe {
-            self.overflow[self.overflow.len() - probe].0
-        } else {
-            match self.overflow.first() {
-                Some(p) => p.0,
-                None => earliest,
-            }
-        };
-        let span = latest_probe.saturating_sub(earliest).max(1);
-        self.width = (span / RING_BUCKETS as u64).max(1).next_power_of_two();
-        self.head = 0;
-        self.floor = earliest;
-        self.active_sorted = false;
-        let horizon = self.horizon();
-        while let Some(p) = self.overflow.last() {
-            let t = p.0;
-            if t >= horizon {
+        // The horizon spans `2^span_log2` ns: the smallest power of two
+        // holding `want` events, or the whole of a smaller pile.
+        let want = (RING_BUCKETS * TARGET_PER_BUCKET).max(self.overflow.len() / 4);
+        let (mut held, mut span_log2) = (0, 0);
+        for (b, &n) in bins.iter().enumerate().filter(|(_, &n)| n > 0) {
+            held += n;
+            span_log2 = b as u32;
+            if held >= want {
                 break;
             }
-            let slot = ((t - self.floor) / self.width) as usize % RING_BUCKETS;
-            let p = match self.overflow.pop() {
-                Some(p) => p,
-                None => break,
-            };
-            self.ring[slot].push(p);
-            self.in_ring += 1;
         }
-        self.overflow_min = match self.overflow.last() {
-            Some(p) => p.0,
-            None => u64::MAX,
-        };
+        self.shift = span_log2.saturating_sub(RING_LOG2);
+        self.head = 0;
+        self.floor = floor;
+        self.active_sorted = false;
+        self.partition_overflow();
+    }
+
+    /// Move every overflow event under the horizon into its ring bucket
+    /// and keep the rest, compacted in place: one pass, no sort, no
+    /// second buffer. Recomputes `overflow_min` on the way.
+    fn partition_overflow(&mut self) {
+        let (head, floor, shift) = (self.head, self.floor, self.shift);
+        let active_len = self.ring[head].len();
+        let ring = &mut self.ring;
+        let mut min = u64::MAX;
+        self.overflow.retain(|&p| {
+            let k = p.0.saturating_sub(floor) >> shift;
+            if k >= RING_BUCKETS as u64 {
+                min = min.min(p.0);
+                return true;
+            }
+            ring[(head + k as usize) % RING_BUCKETS].push(p);
+            false
+        });
+        self.overflow_min = min;
+        if self.ring[head].len() != active_len {
+            self.active_sorted = false;
+        }
     }
 }
 
@@ -342,6 +315,27 @@ mod tests {
 
     fn ev(t: u64, kind: u8, id: u64) -> Event {
         (SimTime(t), kind, id, 0)
+    }
+
+    /// splitmix64: a deterministic pseudo-random stream for test data.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A queue holding `times` in its overflow pile only: every time lies
+    /// past the initial horizon (2²⁴ ns), so the first pop refills.
+    fn piled(times: impl Iterator<Item = u64>) -> CalendarQueue {
+        let mut q = CalendarQueue::new();
+        for (i, t) in times.enumerate() {
+            assert!(t >= 1 << 24, "time {t} would land in the ring");
+            q.push(ev(t, 5, i as u64));
+        }
+        assert_eq!(q.overflow.len(), q.len);
+        q
     }
 
     #[test]
@@ -398,13 +392,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut q = CalendarQueue::new();
         let mut state = 0x1234_5678_u64;
-        let mut rnd = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rnd = move || splitmix(&mut state);
         let mut now = 0u64;
         for i in 0..50_000u64 {
             let r = rnd();
@@ -500,5 +488,51 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n as usize);
+    }
+
+    #[test]
+    fn refill_moves_at_least_a_quarter_of_the_pile() {
+        // The amortization argument: each refill scans the whole pile
+        // twice, so it must move a constant fraction of it, whatever the
+        // shape of the times.
+        const N: u64 = 100_000;
+        const BASE: u64 = 1 << 25;
+        type Shape = fn(u64) -> u64;
+        let shapes: [(&str, Shape); 3] = [
+            ("uniform", |r| BASE + r % 100_000_000_000),
+            ("bimodal", |r| {
+                if r % 2 == 0 {
+                    BASE + r % 1_000_000
+                } else {
+                    1_000_000_000_000 + r % 1_000_000_000_000
+                }
+            }),
+            ("geometric", |r| BASE + (r >> (24 + r % 40))),
+        ];
+        for (name, shape) in shapes {
+            let mut state = 7u64;
+            let mut q = piled((0..N).map(|_| shape(splitmix(&mut state))));
+            assert!(q.pop().is_some());
+            let in_ring = q.len - q.overflow.len();
+            assert!(
+                in_ring >= q.len / 4,
+                "{name}: refill moved {in_ring} of {} events",
+                q.len
+            );
+        }
+    }
+
+    #[test]
+    fn far_outlier_does_not_widen_the_buckets() {
+        // One event ~11 days out must not stretch the bucket width over
+        // the dense second of work in front of it: a width taken from
+        // the mean spacing of the whole pile would put nearly everything
+        // in one bucket.
+        let mut state = 11u64;
+        let dense = (0..100_000).map(|_| 20_000_000 + splitmix(&mut state) % 1_000_000_000);
+        let mut q = piled(dense.chain([1_000_000_000_000_000]));
+        assert!(q.pop().is_some());
+        let largest = q.ring.iter().map(Vec::len).max().unwrap_or(0);
+        assert!(largest <= 64, "largest bucket holds {largest} events");
     }
 }
